@@ -61,39 +61,6 @@ for b in "$BUILD_DIR"/bench/bench_*; do
   [ $rc -ne 0 ] && status=1
 done
 
-# Diff each fresh micro-suite JSON against its committed *_before.json
-# baseline, when one exists (e.g. results/BENCH_net_micro_before.json
-# was captured on the pre-zero-copy seed).
-for after in results/BENCH_*_micro.json; do
-  [ -f "$after" ] || continue
-  before="${after%.json}_before.json"
-  [ -f "$before" ] || continue
-  echo "=== diff $(basename "$before") -> $(basename "$after") ==="
-  python3 - "$before" "$after" <<'PYEOF'
-import json, sys
-
-def load(path):
-    out = {}
-    for b in json.load(open(path))["benchmarks"]:
-        out[b["name"]] = b
-    return out
-
-before, after = load(sys.argv[1]), load(sys.argv[2])
-for name in before:
-    if name not in after:
-        continue
-    b, a = before[name], after[name]
-    bt, at = b["real_time"], a["real_time"]
-    line = f"{name:40s} {bt:10.1f} -> {at:10.1f} {a['time_unit']}"
-    if bt > 0:
-        line += f"  ({(at - bt) / bt * 100.0:+.1f}%)"
-    for counter in ("allocs_per_tx", "deliveries_per_tx"):
-        if counter in a:
-            line += f"  {counter}={a[counter]:g}"
-    print(line)
-PYEOF
-done
-
 # Diff the fresh data-plane bench against the committed baseline (the
 # results/BENCH_dataplane.json the bench just overwrote).
 if [ -f results/BENCH_dataplane.json ] &&
@@ -118,9 +85,12 @@ def walk(path, b, a):
         flag = "  <-- drifted" if abs(delta) > 25.0 else ""
         print(f"{name:45s} {b:14.1f} -> {a:14.1f}  ({delta:+.1f}%){flag}")
 
-for key in ("crypto", "pipelines", "engine_wall_speedup"):
-    if key in before and key in after:
-        walk([key], before[key], after[key])
+if before.get("schema_version") != after.get("schema_version"):
+    print("schema changed "
+          f"({before.get('schema_version')} -> {after.get('schema_version')}); "
+          "no diff")
+else:
+    walk(["pipeline"], before.get("pipeline"), after.get("pipeline"))
 PYEOF
   rm -f results/.dataplane_baseline.json
 fi

@@ -206,105 +206,6 @@ void Channel::csma_transmit(Packet packet, int attempt) {
   });
 }
 
-void Channel::fan_out_batched(const Packet& packet,
-                              std::span<const NodeId> receivers,
-                              sim::SimTime arrival) {
-  if (sniffer_) sniffer_(packet);
-  LaneTallies& t = tallies();
-  ++t.tx_count;
-  t.tx_bytes += packet.size_bytes();
-  const auto kind = static_cast<std::size_t>(packet.kind);
-  if (kind < kPacketKindCount) {
-    ++t.tx_packets_by_kind[kind];
-    t.tx_bytes_by_kind[kind] += packet.size_bytes();
-  }
-  counters_.increment(t.ctr_tx);
-
-  // Schedule-time decisions happen per receiver in the scalar order, so
-  // the loss RNG stream and collision windows match N schedule_delivery
-  // calls exactly; only the event count changes.
-  struct PendingDelivery {
-    NodeId receiver;
-    std::shared_ptr<bool> corrupted;  // null unless collisions modeled
-  };
-  const std::size_t lane_count = tallies_.size();
-  std::vector<std::vector<PendingDelivery>> per_lane(lane_count);
-  for (NodeId receiver : receivers) {
-    if (link_gate_ && !link_gate_(packet.sender, receiver)) {
-      ++t.dropped_partition;
-      counters_.increment(t.ctr_dropped_partition);
-      continue;
-    }
-    if (config_.loss_probability > 0.0 &&
-        sim_.rng().bernoulli(config_.loss_probability)) {
-      ++t.losses;
-      counters_.increment(t.ctr_lost);
-      continue;
-    }
-    std::shared_ptr<bool> corrupted;
-    if (config_.model_collisions) {
-      corrupted = track_reception(receiver, arrival);
-    }
-    const std::size_t dst = kernel_ != nullptr ? (*lane_of_)[receiver] : 0;
-    per_lane[dst].push_back(PendingDelivery{receiver, std::move(corrupted)});
-  }
-
-  for (std::size_t lane = 0; lane < lane_count; ++lane) {
-    if (per_lane[lane].empty()) continue;
-    auto deliver = [this, packet, pending = std::move(per_lane[lane])] {
-      // Runs on the destination lane: tallies and energy are lane-local.
-      std::vector<NodeId> survivors;
-      survivors.reserve(pending.size());
-      LaneTallies& lt = tallies();
-      for (const PendingDelivery& d : pending) {
-        if (delivery_gate_ && !delivery_gate_(d.receiver)) {
-          ++lt.dropped_gone;
-          counters_.increment(lt.ctr_dropped_gone);
-          continue;
-        }
-        energy_.charge_rx(d.receiver, packet.size_bytes());
-        if (d.corrupted && *d.corrupted) {
-          ++lt.collisions;
-          counters_.increment(lt.ctr_collision);
-          continue;
-        }
-        ++lt.rx_count;
-        counters_.increment(lt.ctr_delivered);
-        survivors.push_back(d.receiver);
-      }
-      if (survivors.empty()) return;
-      if (batch_deliver_) {
-        batch_deliver_(survivors, packet);
-      } else if (deliver_) {
-        for (NodeId r : survivors) deliver_(r, packet);
-      }
-    };
-    if (kernel_ != nullptr &&
-        static_cast<std::uint32_t>(lane) != sim::ShardedKernel::current_lane()) {
-      kernel_->schedule_cross(static_cast<std::uint32_t>(lane), arrival,
-                              std::move(deliver));
-    } else {
-      sim_.schedule_at(arrival, std::move(deliver));
-    }
-  }
-}
-
-void Channel::deliver_batch(const PacketBatch& batch) {
-  if (config_.csma) {
-    // Medium sensing serializes transmissions through per-sender busy
-    // state; coalescing would reorder the backoff draws.
-    for (std::size_t i = 0; i < batch.size(); ++i) broadcast(batch.packet(i));
-    return;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Packet packet = batch.packet(i);
-    const sim::SimTime tx_end = sim_.now() + tx_duration(packet);
-    energy_.charge_tx(packet.sender, packet.size_bytes(), topology_.range());
-    fan_out_batched(packet, topology_.neighbors(packet.sender),
-                    tx_end + config_.propagation_delay);
-  }
-}
-
 void Channel::broadcast(const Packet& packet) {
   if (config_.csma) {
     csma_transmit(packet, 0);

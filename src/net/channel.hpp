@@ -20,7 +20,6 @@
 
 #include "net/energy.hpp"
 #include "net/packet.hpp"
-#include "net/packet_batch.hpp"
 #include "net/topology.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -58,16 +57,6 @@ class Channel {
     deliver_ = std::move(handler);
   }
 
-  /// Called once per (packet, lane) batched delivery with every receiver
-  /// that survived loss/collision filtering, in the scalar path's
-  /// per-receiver order.  Unset: deliver_batch falls back to invoking
-  /// the scalar handler per receiver.
-  using BatchDeliveryHandler =
-      std::function<void(std::span<const NodeId>, const Packet&)>;
-  void set_batch_delivery_handler(BatchDeliveryHandler handler) {
-    batch_deliver_ = std::move(handler);
-  }
-
   /// Passive global observer invoked for every transmission ("the
   /// broadcast nature of the transmission medium", §I) — the
   /// eavesdropping adversary of src/attacks records ciphertext here.
@@ -98,15 +87,6 @@ class Channel {
   /// part of the deployment); \p radius may exceed the network range to
   /// model laptop-class transmitters.  No energy is charged.
   void broadcast_from(Vec2 position, double radius, const Packet& packet);
-
-  /// Batched transmit: every packet in \p batch is broadcast exactly as
-  /// broadcast() would, but the per-receiver delivery events of one
-  /// packet coalesce into a single event per destination lane.  Loss
-  /// draws, energy charges, tallies, and handler-invocation order are
-  /// bit-identical to size() scalar broadcasts; only the scheduler's
-  /// event count differs.  CSMA falls back to the scalar path (medium
-  /// sensing serializes transmissions through per-sender state).
-  void deliver_batch(const PacketBatch& batch);
 
   [[nodiscard]] sim::SimTime tx_duration(const Packet& packet) const noexcept;
 
@@ -159,12 +139,6 @@ class Channel {
  private:
   void schedule_delivery(NodeId receiver, const Packet& packet,
                          sim::SimTime when);
-
-  /// fan_out's batched twin: same transmit accounting and schedule-time
-  /// loss/collision decisions, one coalesced delivery event per
-  /// destination lane.
-  void fan_out_batched(const Packet& packet, std::span<const NodeId> receivers,
-                       sim::SimTime arrival);
 
   struct LaneTallies;
 
@@ -244,7 +218,6 @@ class Channel {
   sim::TraceCounters& counters_;
   ChannelConfig config_;
   DeliveryHandler deliver_;
-  BatchDeliveryHandler batch_deliver_;
   SnifferHandler sniffer_;
   DeliveryGate delivery_gate_;
   LinkGate link_gate_;

@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "test_helpers.hpp"
 #include "wsn/messages.hpp"
@@ -54,16 +55,24 @@ TEST(NonceRollover, LastNonceBeforeTheWallIsWellFormed) {
   ASSERT_NE(id, net::kNoNode);
   SensorNode& node = runner->node(id);
 
+  std::vector<std::uint64_t> nonces;
+  runner->network().channel().set_sniffer([&](const net::Packet& pkt) {
+    if (pkt.sender != id || pkt.kind != net::PacketKind::kData) return;
+    const auto env = wsn::split_envelope(pkt.payload);
+    ASSERT_TRUE(env.has_value());
+    nonces.push_back(env->header.nonce);
+  });
+
   node.debug_set_envelope_counter(kMax - 1);
-  const auto plan = node.prepare_reading(runner->network(),
-                                         support::bytes_of("r"));
-  ASSERT_TRUE(plan.has_value());
+  ASSERT_TRUE(node.send_reading(runner->network(), support::bytes_of("r")));
+  // The idle channel emits at once: the hop envelope is on the air.
+  ASSERT_EQ(nonces.size(), 1u);
   // High 32 bits carry the node id, low 32 the final counter value.
-  EXPECT_EQ(plan->header.nonce, (std::uint64_t{id} << 32) | kMax);
-  // The batched planning path hits the identical wall.
+  EXPECT_EQ(nonces[0], (std::uint64_t{id} << 32) | kMax);
   EXPECT_THROW(
-      (void)node.prepare_reading(runner->network(), support::bytes_of("r")),
+      node.send_reading(runner->network(), support::bytes_of("r")),
       std::overflow_error);
+  EXPECT_EQ(nonces.size(), 1u);
 }
 
 TEST(NonceRollover, PublishSeqExhaustionIsAHardError) {

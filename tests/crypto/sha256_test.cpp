@@ -131,6 +131,17 @@ TEST(Sha256, MidstateIsReusable) {
   EXPECT_EQ(b.finish(), sha256(whole_b));
 }
 
+TEST(Sha256Compress, DrivesTheIncrementalContextUnchanged) {
+  // One-shot sha256() and a byte-at-a-time Sha256 both route every block
+  // through the single compression function and match a NIST vector.
+  const support::Bytes msg = bytes_of("abc");
+  EXPECT_EQ(to_hex(sha256(msg)),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  Sha256 ctx;
+  for (std::size_t i = 0; i < msg.size(); ++i) ctx.update({&msg[i], 1});
+  EXPECT_EQ(ctx.finish(), sha256(msg));
+}
+
 TEST(Sha256, DistinctMessagesDistinctDigests) {
   EXPECT_NE(digest_hex("messageA"), digest_hex("messageB"));
   EXPECT_NE(digest_hex("a"), digest_hex(std::string_view("a\0", 2)));

@@ -9,10 +9,12 @@
 ///   ldke_sim lifecycle [-n nodes] [-d density] [-s seed]
 ///                      [--summary f.json] [--trace f.jsonl]
 ///   ldke_sim steady [-n nodes] [-d density] [-s seed] [--duration s]
-///                   [--scalar] [--summary f.json] [--trace f.jsonl]
+///                   [--summary f.json] [--trace f.jsonl]
 ///   ldke_sim scenario <spec.json> [-s seed] [--baselines]
 ///                     [--summary f.json] [--trace f.jsonl]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "analysis/experiment.hpp"
@@ -57,7 +60,6 @@ struct CliOptions {
   bool collisions = false;
   bool csv = false;
   double duration = 5.0;     ///< steady-state window (seconds)
-  bool scalar = false;       ///< steady: per-packet pipeline, not batched
   bool baselines = false;    ///< scenario: add the graph-level replays
   bool full_rebuild = false;  ///< scenario: per-epoch full topology rebuild
   bool health_check = false;  ///< scenario: cross-check health samples
@@ -84,7 +86,6 @@ int usage() {
       "  --lanes <k> sharded-kernel lanes (1 = serial event loop)\n"
       "  --collisions  model overlapping-reception corruption\n"
       "  --duration <s>  steady-state window length  (default 5)\n"
-      "  --scalar    steady: per-packet scalar pipeline (default batched)\n"
       "  --baselines scenario: graph-replay the baseline key schemes on "
       "the same trace\n"
       "  --full-rebuild  scenario: rebuild topology + probe health from "
@@ -98,13 +99,37 @@ int usage() {
   return 2;
 }
 
+/// Parses all of \p text into \p out.  False on an empty token, on
+/// trailing characters, and on a value out of range for T (a sign on an
+/// unsigned count is out of range).
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  if (text.empty()) return false;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool parse_options(int argc, char** argv, int first, CliOptions& opt,
                    std::string* attack_kind = nullptr) {
+  const auto any = [](auto) { return true; };
+  const auto positive = [](auto v) { return v > 0; };
+  const auto positive_finite = [](double v) {
+    return v > 0.0 && std::isfinite(v);
+  };
+  const auto probability = [](double v) { return v >= 0.0 && v <= 1.0; };
   for (int i = first; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&](double& out) {
+    bool bad_value = false;
+    // Consumes the option's value token, which must parse whole and
+    // satisfy \p valid.
+    auto next_value = [&](auto& out, auto valid) {
       if (i + 1 >= argc) return false;
-      out = std::strtod(argv[++i], nullptr);
+      const std::string_view text = argv[++i];
+      if (!parse_whole(text, out) || !valid(out)) {
+        std::cerr << "invalid value for " << arg << ": '" << text << "'\n";
+        bad_value = true;
+      }
       return true;
     };
     auto next_string = [&](std::string& out) {
@@ -112,23 +137,14 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       out = argv[++i];
       return true;
     };
-    double v = 0;
-    if (arg == "-n" && next_value(v)) {
-      opt.nodes = static_cast<std::size_t>(v);
-    } else if (arg == "-d" && next_value(v)) {
-      opt.density = v;
-    } else if (arg == "-s" && next_value(v)) {
-      opt.seed = static_cast<std::uint64_t>(v);
-    } else if (arg == "-t" && next_value(v)) {
-      opt.trials = static_cast<std::size_t>(v);
-    } else if (arg == "--loss" && next_value(v)) {
-      opt.loss = v;
-    } else if (arg == "--lanes" && next_value(v)) {
-      opt.lanes = static_cast<std::size_t>(v);
-    } else if (arg == "--duration" && next_value(v)) {
-      opt.duration = v;
-    } else if (arg == "--scalar") {
-      opt.scalar = true;
+    if (arg == "-n" && next_value(opt.nodes, positive)) {
+    } else if (arg == "-d" && next_value(opt.density, positive_finite)) {
+    } else if (arg == "-s" && next_value(opt.seed, any)) {
+    } else if (arg == "-t" && next_value(opt.trials, positive)) {
+    } else if (arg == "--loss" && next_value(opt.loss, probability)) {
+    } else if (arg == "--lanes" && next_value(opt.lanes, positive)) {
+    } else if (arg == "--duration" &&
+               next_value(opt.duration, positive_finite)) {
     } else if (arg == "--baselines") {
       opt.baselines = true;
     } else if (arg == "--full-rebuild") {
@@ -140,9 +156,7 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--summary" && next_string(opt.summary_path)) {
-      // handled
     } else if (arg == "--trace" && next_string(opt.trace_path)) {
-      // handled
     } else if (attack_kind != nullptr && attack_kind->empty() &&
                !arg.starts_with('-')) {
       *attack_kind = arg;
@@ -150,6 +164,7 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
       std::cerr << "unknown option: " << arg << '\n';
       return false;
     }
+    if (bad_value) return false;
   }
   return true;
 }
@@ -356,9 +371,7 @@ int cmd_lifecycle(const CliOptions& opt) {
 }
 
 /// Setup + routing, then the DataPlaneEngine's steady-state window:
-/// continuous DATA origination with periodic hash refresh, through the
-/// batched SoA pipeline (or --scalar for the per-packet one — both are
-/// bit-identical per seed, so the choice only moves wall time).
+/// continuous DATA origination with periodic hash refresh.
 int cmd_steady(const CliOptions& opt) {
   if (opt.lanes > 1) {
     std::cerr << "steady requires the serial event loop (--lanes 1)\n";
@@ -374,12 +387,10 @@ int cmd_steady(const CliOptions& opt) {
   std::cout << "setup + routing... " << std::flush;
   runner.run_key_setup();
   runner.run_routing_setup();
-  std::cout << "done\n" << (opt.scalar ? "scalar" : "batched")
-            << " data plane, " << support::fmt(opt.duration, 1)
+  std::cout << "done\ndata plane, " << support::fmt(opt.duration, 1)
             << " s steady state... " << std::flush;
   core::DataPlaneConfig dp;
   dp.duration_s = opt.duration;
-  dp.batched = !opt.scalar;
   dp.refresh_interval_s = 1.0;  // control plane stays live under traffic
   core::DataPlaneEngine engine{runner, dp};
   const core::DataPlaneStats stats = engine.run();

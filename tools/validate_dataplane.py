@@ -5,12 +5,13 @@ Validates the artifact written by bench_dataplane without depending on
 anything outside the Python standard library.  Exits non-zero and prints
 every violation so a CI failure points straight at the malformed field.
 
-Beyond shape, it re-checks the bench's own invariants so a stale or
+Beyond shape, it re-checks invariants of the run so a stale or
 hand-edited artifact cannot sneak past CI:
-  - the scalar and batched pipelines report bit-identical delivery
-    metrics (originated/hop_tx/delivered and every latency percentile),
-  - metrics_identical agrees with that comparison,
-  - an optional --min-pps floor on the batched pipeline's originations/s.
+  - no more readings delivered than originated, and at least one hop
+    transmission per origination,
+  - latency percentiles in order (p50 <= p95 <= p99),
+  - the arena advanced generations and the child reported a peak RSS,
+  - an optional --min-pps floor on originations/s.
 
 Usage:
   tools/validate_dataplane.py results/BENCH_dataplane.json [--min-pps N]
@@ -20,7 +21,7 @@ import argparse
 import json
 import sys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 NUMBER = (int, float)
 
 TOP_FIELDS = {
@@ -31,20 +32,6 @@ TOP_FIELDS = {
     "duration_s": NUMBER,
     "seed": int,
     "aesni_shani": bool,
-    "engine_wall_speedup": NUMBER,
-    "metrics_identical": bool,
-}
-
-CRYPTO_FIELDS = {
-    "msg_bytes": int,
-    "aad_bytes": int,
-    "lanes": int,
-    "scalar_seal_per_s": NUMBER,
-    "batched_seal_per_s": NUMBER,
-    "seal_speedup": NUMBER,
-    "scalar_open_per_s": NUMBER,
-    "batched_open_per_s": NUMBER,
-    "open_speedup": NUMBER,
 }
 
 PIPELINE_FIELDS = {
@@ -62,25 +49,10 @@ PIPELINE_FIELDS = {
     "latency_p99_ms": NUMBER,
     "seals": int,
     "opens": int,
-    "batches_sealed": int,
-    "max_group_lanes": int,
     "refresh_rounds": int,
     "arena_generations": int,
     "peak_rss_kb": int,
 }
-
-# The fields that must be bit-identical between the two pipelines for
-# the batched path to count as equivalent.
-IDENTICAL_FIELDS = (
-    "originated",
-    "hop_tx",
-    "delivered",
-    "latency_p50_ms",
-    "latency_p95_ms",
-    "latency_p99_ms",
-    "seals",
-    "opens",
-)
 
 
 class Checker:
@@ -120,56 +92,39 @@ def check(path, min_pps, checker):
         checker.fail(f"{path}: bench is '{doc.get('bench')}', "
                      f"expected 'dataplane'")
 
-    crypto = doc.get("crypto")
-    if not isinstance(crypto, dict):
-        checker.fail(f"{path}: missing section 'crypto'")
-    else:
-        for field, kind in CRYPTO_FIELDS.items():
-            checker.expect(crypto, field, kind, f"{path}:crypto")
-
-    pipelines = doc.get("pipelines")
-    if not isinstance(pipelines, dict):
-        checker.fail(f"{path}: missing section 'pipelines'")
+    block = doc.get("pipeline")
+    if not isinstance(block, dict):
+        checker.fail(f"{path}: missing section 'pipeline'")
         return
-    for name in ("scalar", "batched"):
-        block = pipelines.get(name)
-        if not isinstance(block, dict):
-            checker.fail(f"{path}: missing pipeline '{name}'")
-            continue
-        for field, kind in PIPELINE_FIELDS.items():
-            checker.expect(block, field, kind, f"{path}:pipelines.{name}")
+    where = f"{path}:pipeline"
+    for field, kind in PIPELINE_FIELDS.items():
+        checker.expect(block, field, kind, where)
+    if checker.errors:
+        return
 
-    scalar = pipelines.get("scalar")
-    batched = pipelines.get("batched")
-    if isinstance(scalar, dict) and isinstance(batched, dict):
-        mismatched = [f for f in IDENTICAL_FIELDS
-                      if scalar.get(f) != batched.get(f)]
-        for field in mismatched:
-            checker.fail(f"{path}: pipelines disagree on '{field}': "
-                         f"scalar={scalar.get(field)} "
-                         f"batched={batched.get(field)}")
-        if doc.get("metrics_identical") is True and mismatched:
-            checker.fail(f"{path}: metrics_identical claims true but "
-                         f"{len(mismatched)} field(s) differ")
-        if doc.get("metrics_identical") is False and not mismatched:
-            checker.fail(f"{path}: metrics_identical claims false but the "
-                         f"compared fields all match")
-        if min_pps > 0:
-            pps = batched.get("originated_per_s")
-            if isinstance(pps, NUMBER) and pps < min_pps:
-                checker.fail(f"{path}: batched originated_per_s {pps:.0f} "
-                             f"below floor {min_pps:.0f}")
-        if isinstance(batched.get("batches_sealed"), int) \
-                and batched["batches_sealed"] == 0:
-            checker.fail(f"{path}: batched pipeline sealed zero batches — "
-                         f"the multi-buffer path never ran")
+    if block["delivered"] > block["originated"]:
+        checker.fail(f"{where}: delivered {block['delivered']} exceeds "
+                     f"originated {block['originated']}")
+    if block["hop_tx"] < block["originated"]:
+        checker.fail(f"{where}: hop_tx {block['hop_tx']} below originated "
+                     f"{block['originated']}")
+    if not (block["latency_p50_ms"] <= block["latency_p95_ms"]
+            <= block["latency_p99_ms"]):
+        checker.fail(f"{where}: latency percentiles out of order")
+    for field in ("originated", "arena_generations", "peak_rss_kb"):
+        if block[field] <= 0:
+            checker.fail(f"{where}: {field} is {block[field]}, expected > 0")
+    if min_pps > 0 and block["originated_per_s"] < min_pps:
+        checker.fail(f"{where}: originated_per_s "
+                     f"{block['originated_per_s']:.0f} below floor "
+                     f"{min_pps:.0f}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", help="BENCH_dataplane.json to validate")
     parser.add_argument("--min-pps", type=float, default=0.0,
-                        help="floor on the batched pipeline's originations/s")
+                        help="floor on originations/s")
     args = parser.parse_args()
 
     checker = Checker()
