@@ -93,22 +93,13 @@ obs::HealthSample probe_health(const ProtocolRunner& runner,
   // Key-graph connectivity: components among active nodes under the
   // secured-link relation.  1 component == any active node can reach any
   // other over hops whose envelopes both ends can open.
-  std::vector<net::NodeId> roots;
-  std::vector<std::uint32_t> sizes;
+  std::vector<std::uint32_t> root_size(n, 0);
   for (net::NodeId u = 0; u < n; ++u) {
     if (!net.is_active(u)) continue;
-    const net::NodeId r = uf.find(u);
-    auto it = std::lower_bound(roots.begin(), roots.end(), r);
-    if (it == roots.end() || *it != r) {
-      sizes.insert(sizes.begin() + (it - roots.begin()), 1);
-      roots.insert(it, r);
-    } else {
-      ++sizes[static_cast<std::size_t>(it - roots.begin())];
-    }
+    const std::uint32_t size = ++root_size[uf.find(u)];
+    if (size == 1) ++sample.key_components;
+    sample.largest_component = std::max(sample.largest_component, size);
   }
-  sample.key_components = static_cast<std::uint32_t>(roots.size());
-  sample.largest_component =
-      sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end());
 
   const auto window =
       runner.deliveries().window_stats(window_from_ns, window_until_ns);

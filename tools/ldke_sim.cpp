@@ -61,8 +61,6 @@ struct CliOptions {
   bool csv = false;
   double duration = 5.0;     ///< steady-state window (seconds)
   bool baselines = false;    ///< scenario: add the graph-level replays
-  bool full_rebuild = false;  ///< scenario: per-epoch full topology rebuild
-  bool health_check = false;  ///< scenario: cross-check health samples
   std::string summary_path;  ///< RunSummary JSON destination ("" = off)
   std::string trace_path;    ///< JSONL trace destination ("" = off)
 };
@@ -88,10 +86,6 @@ int usage() {
       "  --duration <s>  steady-state window length  (default 5)\n"
       "  --baselines scenario: graph-replay the baseline key schemes on "
       "the same trace\n"
-      "  --full-rebuild  scenario: rebuild topology + probe health from "
-      "scratch each epoch (reference mode)\n"
-      "  --health-check  scenario: cross-check incremental health against "
-      "the full probe\n"
       "  --csv       machine-readable output\n"
       "  --summary <file>  write the RunSummary JSON artifact\n"
       "  --trace <file>    write the versioned JSONL trace "
@@ -147,10 +141,6 @@ bool parse_options(int argc, char** argv, int first, CliOptions& opt,
                next_value(opt.duration, positive_finite)) {
     } else if (arg == "--baselines") {
       opt.baselines = true;
-    } else if (arg == "--full-rebuild") {
-      opt.full_rebuild = true;
-    } else if (arg == "--health-check") {
-      opt.health_check = true;
     } else if (arg == "--collisions") {
       opt.collisions = true;
     } else if (arg == "--csv") {
@@ -447,13 +437,6 @@ int cmd_scenario(const CliOptions& opt, const std::string& path) {
   core::ProtocolRunner runner{
       scenario::ScenarioEngine::make_runner_config(*spec, opt.seed)};
   scenario::ScenarioEngine engine{runner, *spec};
-  if (opt.full_rebuild) {
-    engine.set_topology_maintenance(
-        scenario::ScenarioEngine::TopologyMaintenance::kFullRebuild);
-    engine.set_health_maintenance(
-        scenario::ScenarioEngine::HealthMaintenance::kFullProbe);
-  }
-  engine.set_health_cross_check(opt.health_check);
   net::PacketTrace trace{1 << 20};
   obs::AuditSink audit;
   if (!opt.trace_path.empty()) {

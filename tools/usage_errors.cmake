@@ -1,5 +1,5 @@
-# Every malformed numeric option must end the CLI with exit code 2 and
-# the usage text, before any deployment is built.
+# Every malformed numeric option, and every unknown flag, must end the
+# CLI with exit code 2 and the usage text, before any deployment is built.
 
 # The value is quoted on its own so an empty token survives list expansion.
 function(expect_usage_error command option value)
@@ -27,3 +27,9 @@ expect_usage_error(setup --loss 2)
 expect_usage_error(setup --loss -1)
 expect_usage_error(steady --duration "")
 expect_usage_error(steady --duration 0)
+
+# Unknown flags on a scenario command: the valid spec path means an
+# ignored flag would let the run succeed, so only a rejection passes.
+set(SPEC ${CMAKE_CURRENT_LIST_DIR}/../examples/scenarios/waypoint_churn.json)
+expect_usage_error(scenario --full-rebuild ${SPEC})
+expect_usage_error(scenario --health-check ${SPEC})
